@@ -21,6 +21,7 @@ architecture and cache contract are documented in DESIGN.md).
 
 from repro.api.base import (
     Beamformer,
+    NonFiniteRfError,
     dataset_plan_key,
     dataset_tof_plan,
     dataset_tofc,
@@ -44,6 +45,7 @@ __all__ = [
     "Beamformer",
     "DasBeamformer",
     "MvdrBeamformer",
+    "NonFiniteRfError",
     "LearnedBeamformer",
     "QuantizedBeamformer",
     "create_beamformer",

@@ -147,9 +147,9 @@ class MvdrBeamformer(Beamformer):
 class LearnedBeamformer(Beamformer):
     """A trained model plus its input layout behind the uniform API.
 
-    The model-kind string that legacy callers had to carry out-of-band
-    (``predict_iq(model, kind, dataset)``) is bound at construction, so
-    a ``LearnedBeamformer`` can be passed anywhere a classical one can.
+    The model kind is bound at construction, not passed with every
+    frame, so a ``LearnedBeamformer`` can be passed anywhere a
+    classical one can.
     """
 
     def __init__(
@@ -239,7 +239,7 @@ class QuantizedBeamformer(LearnedBeamformer):
         pe: str | None = None,
     ) -> None:
         from repro.fpga.accelerator import TinyVbfAccelerator
-        from repro.quant.qexec import resolve_pe_mode
+        from repro.quant.qexec import QuantizedModel
 
         if isinstance(scheme, str):
             require_in("scheme", scheme, tuple(SCHEMES))
@@ -251,17 +251,11 @@ class QuantizedBeamformer(LearnedBeamformer):
         self.scheme = scheme
         self.name = f"tiny_vbf@{scheme.name}"
         self.accelerator = TinyVbfAccelerator(self.model, scheme)
-        self._pe_mode = resolve_pe_mode(pe)
+        self.quantized = QuantizedModel(self.model, scheme, pe)
         self.pe = pe
 
     def _forward(self, x: Array) -> Array:
-        if self._pe_mode is not None:
-            from repro.backend.pe_emu import emulated_pe_scope
-
-            with emulated_pe_scope(self.scheme, self._pe_mode):
-                emulated: Array = self.accelerator.run(x)
-                return emulated
-        y: Array = self.accelerator.run(x)
+        y: Array = self.quantized(x)
         return y
 
     def beamform_batch(self, datasets: Sequence[Any]) -> list[Array]:

@@ -66,9 +66,26 @@ def dataset_tof_plan(dataset: Any) -> TofPlan:
     )
 
 
+class NonFiniteRfError(ValueError):
+    """A dataset's RF holds NaN or infinite samples.
+
+    Such a frame has no meaningful image: DAS would smear the NaN over
+    the whole image, and the learned models' peak normalization would
+    divide every sample by NaN.
+    """
+
+
 def dataset_tofc(dataset: Any) -> Array:
-    """Analytic ToFC cube of a dataset through the cached plan."""
-    tofc: Array = dataset_tof_plan(dataset).apply_analytic(dataset.rf)
+    """Analytic ToFC cube of a dataset through the cached plan.
+
+    Raises:
+        NonFiniteRfError: when ``dataset.rf`` is not all finite.
+    """
+    rf = dataset.rf
+    if not np.isfinite(rf).all():
+        name = getattr(dataset, "name", "<unnamed>")
+        raise NonFiniteRfError(f"dataset {name} has non-finite RF samples")
+    tofc: Array = dataset_tof_plan(dataset).apply_analytic(rf)
     return tofc
 
 

@@ -16,7 +16,8 @@ point exactly where the FPGA datapath does:
 
 This is "fake quantization": values stay float64 but are snapped to the
 representable grid, which is numerically identical to the integer
-datapath for these word lengths.
+datapath for these word lengths.  Passing a ``rounding_mode`` runs every
+GEMM on that integer datapath instead (:class:`repro.fpga.emu.EmulatedPE`).
 """
 
 from __future__ import annotations
@@ -44,44 +45,106 @@ def _q(fmt, values: np.ndarray) -> np.ndarray:
     return fmt.quantize(values)
 
 
-def quantized_forward(
-    layer: Layer, x: np.ndarray, scheme: QuantizationScheme
+#: Quantized GEMM kernel -> (streamed, stationary) operand roles on the
+#: emulated PE.
+_GEMM_ROLES = {
+    "matmul": ("intermediate", "weights"),
+    "attention_scores": ("intermediate", "intermediate"),
+    "attention_context": ("softmax", "intermediate"),
+}
+
+
+def _gemm(
+    kernel: str,
+    a: np.ndarray,
+    b: np.ndarray,
+    scheme: QuantizationScheme,
+    rounding_mode: str | None,
+    *scale: float,
 ) -> np.ndarray:
-    """Evaluate ``layer`` on ``x`` under ``scheme`` (see module doc)."""
+    """One quantized GEMM, landing on the ``arithmetic`` grid.
+
+    With no ``rounding_mode`` (or no arithmetic format) this is the
+    ambient backend's ``kernel``; otherwise the product runs on the
+    integer PE emulator (:class:`repro.fpga.emu.EmulatedPE`) with the
+    kernel's per-role operand formats and ``scale`` folded into the
+    final rounding stage.
+    """
+    if rounding_mode is None or scheme.arithmetic is None:
+        y = getattr(get_backend(), kernel)(a, b, *scale)
+    else:
+        # Lazy: repro.fpga imports this module.
+        from repro.fpga.emu import EmulatedPE
+
+        a_role, b_role = _GEMM_ROLES[kernel]
+        pe = EmulatedPE(
+            scheme.arithmetic,
+            a_format=getattr(scheme, a_role),
+            b_format=getattr(scheme, b_role),
+            rounding_mode=rounding_mode,
+        )
+        if kernel == "attention_scores":
+            b = np.swapaxes(b, -1, -2)
+        y = pe.matmul(a, b, *scale)
+    return _q(scheme.arithmetic, y)
+
+
+def _dense(
+    dense: Dense,
+    x: np.ndarray,
+    scheme: QuantizationScheme,
+    rounding_mode: str | None,
+) -> np.ndarray:
+    """A Dense layer (or attention projection) under ``scheme``."""
+    weight = _q(scheme.weights, dense.weight.value)
+    y = _gemm("matmul", x, weight, scheme, rounding_mode)
+    if dense.bias is not None:
+        y = _q(scheme.arithmetic,
+               y + _q(scheme.arithmetic, dense.bias.value))
+    return _q(scheme.intermediate, y)
+
+
+def quantized_forward(
+    layer: Layer,
+    x: np.ndarray,
+    scheme: QuantizationScheme,
+    rounding_mode: str | None = None,
+) -> np.ndarray:
+    """Evaluate ``layer`` on ``x`` under ``scheme`` (see module doc).
+
+    ``rounding_mode`` (a :data:`repro.fpga.emu.ROUNDING_MODES` member)
+    runs every GEMM on the emulated PE; ``None`` keeps the modeled
+    path on the ambient backend.
+    """
     if scheme.is_float:
         return layer.forward(x, training=False)
 
+    def forward(child: Layer, value: np.ndarray) -> np.ndarray:
+        return quantized_forward(child, value, scheme, rounding_mode)
+
     if isinstance(layer, Sequential):
         for child in layer.layers:
-            x = quantized_forward(child, x, scheme)
+            x = forward(child, x)
         return x
 
     if isinstance(layer, Residual):
-        inner = quantized_forward(layer.inner, x, scheme)
-        return _q(scheme.intermediate, x + inner)
+        return _q(scheme.intermediate, x + forward(layer.inner, x))
 
     if isinstance(layer, TinyVbfNetwork):
         x = _q(scheme.intermediate, x)
-        pixel = quantized_forward(layer.pixel_encoder, x, scheme)
-        context = quantized_forward(layer.context, pixel, scheme)
+        pixel = forward(layer.pixel_encoder, x)
+        context = forward(layer.context, pixel)
         if layer.config.use_pixel_skip:
             combined = np.concatenate([pixel, context], axis=-1)
         else:
             combined = context
-        return quantized_forward(layer.head, combined, scheme)
+        return forward(layer.head, combined)
 
     if isinstance(layer, Dense):
-        weight = _q(scheme.weights, layer.weight.value)
-        y = _q(scheme.arithmetic, get_backend().matmul(x, weight))
-        if layer.bias is not None:
-            y = _q(
-                scheme.arithmetic, y + _q(scheme.arithmetic,
-                                          layer.bias.value)
-            )
-        return _q(scheme.intermediate, y)
+        return _dense(layer, x, scheme, rounding_mode)
 
     if isinstance(layer, MultiHeadAttention):
-        return _quantized_attention(layer, x, scheme)
+        return _quantized_attention(layer, x, scheme, rounding_mode)
 
     if isinstance(layer, LayerNorm):
         gamma = _q(scheme.weights, layer.gamma.value)
@@ -114,39 +177,23 @@ def quantized_forward(
 
 
 def _quantized_attention(
-    layer: MultiHeadAttention, x: np.ndarray, scheme: QuantizationScheme
+    layer: MultiHeadAttention,
+    x: np.ndarray,
+    scheme: QuantizationScheme,
+    rounding_mode: str | None,
 ) -> np.ndarray:
     """MHA under quantization: Figs. 6-8 of the paper's accelerator."""
-    backend = get_backend()
-
-    def project(dense: Dense) -> np.ndarray:
-        weight = _q(scheme.weights, dense.weight.value)
-        y = _q(scheme.arithmetic, backend.matmul(x, weight))
-        if dense.bias is not None:
-            y = _q(scheme.arithmetic, y + _q(scheme.arithmetic,
-                                             dense.bias.value))
-        return _q(scheme.intermediate, y)
-
-    q = layer._split_heads(project(layer.query))
-    k = layer._split_heads(project(layer.key))
-    v = layer._split_heads(project(layer.value))
-
+    q, k, v = (
+        layer._split_heads(_dense(dense, x, scheme, rounding_mode))
+        for dense in (layer.query, layer.key, layer.value)
+    )
     scale = 1.0 / np.sqrt(layer.head_dim)
-    scores = _q(
-        scheme.arithmetic, backend.attention_scores(q, k, scale)
-    )
+    scores = _gemm("attention_scores", q, k, scheme, rounding_mode, scale)
     attention = _q(scheme.softmax, softmax(scores, axis=-1))
-    context = _q(
-        scheme.arithmetic, backend.attention_context(attention, v)
-    )
+    context = _gemm("attention_context", attention, v, scheme,
+                    rounding_mode)
     merged = layer._merge_heads(context)
-
-    weight = _q(scheme.weights, layer.output.weight.value)
-    out = _q(scheme.arithmetic, backend.matmul(merged, weight))
-    if layer.output.bias is not None:
-        out = _q(scheme.arithmetic,
-                 out + _q(scheme.arithmetic, layer.output.bias.value))
-    return _q(scheme.intermediate, out)
+    return _dense(layer.output, merged, scheme, rounding_mode)
 
 
 #: ``pe=`` knob values -> :mod:`repro.fpga.emu` rounding modes.  ``None``
@@ -173,9 +220,10 @@ class QuantizedModel:
 
     ``pe`` selects the execution substrate: ``None`` (default) keeps
     the modeled fake-quantized path; ``"emu"`` / ``"emu-per-level"``
-    route every quantized GEMM through the bit-accurate integer PE
-    emulator (:mod:`repro.fpga.emu`) via an
-    :class:`~repro.backend.pe_emu.emulated_pe_scope`.
+    run every quantized GEMM on the bit-accurate integer PE emulator
+    (:mod:`repro.fpga.emu`).  The mode is a plain attribute passed down
+    :func:`quantized_forward`, so it travels with the (picklable) model
+    and no thread or process can observe another's.
     """
 
     def __init__(
@@ -187,15 +235,8 @@ class QuantizedModel:
         self.pe = pe
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if self._pe_mode is not None:
-            from repro.backend.pe_emu import emulated_pe_scope
-
-            with emulated_pe_scope(self.scheme, self._pe_mode):
-                return quantized_forward(
-                    self.model.root, np.asarray(x, float), self.scheme
-                )
         return quantized_forward(self.model.root, np.asarray(x, float),
-                                 self.scheme)
+                                 self.scheme, self._pe_mode)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)

@@ -17,6 +17,7 @@ from repro.api import (
     DasBeamformer,
     LearnedBeamformer,
     MvdrBeamformer,
+    NonFiniteRfError,
     QuantizedBeamformer,
     create_beamformer,
     parse_spec,
@@ -131,6 +132,10 @@ class TestFactory:
                 register_beamformer("custom_bf", lambda **kw: None)
         finally:
             _REGISTRY.pop("custom_bf", None)
+
+    def test_beamformer_is_abstract(self):
+        with pytest.raises(TypeError):
+            Beamformer()
 
     def test_register_rejects_bad_names(self):
         with pytest.raises(ValueError):
@@ -274,49 +279,27 @@ class TestBatch:
         )
 
 
-class TestDeprecatedShims:
-    def test_beamform_with_warns_and_matches(self, sim_contrast_dataset):
-        from repro.eval.experiments import beamform_with
-
-        with pytest.warns(DeprecationWarning):
-            legacy = beamform_with(sim_contrast_dataset, "das")
-        assert np.array_equal(
-            legacy, create_beamformer("das").beamform(sim_contrast_dataset)
-        )
-
-    def test_predict_iq_warns_and_matches(
-        self, untrained_models, sim_contrast_dataset
+class TestNonFiniteRf:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "spec", ["das", "mvdr", "tiny_cnn", "tiny_vbf", "tiny_vbf@20 bits"]
+    )
+    def test_every_adapter_rejects_non_finite_rf(
+        self, spec, value, untrained_models, sim_contrast_dataset
     ):
-        from repro.training.inference import predict_iq
-
-        model = untrained_models["tiny_cnn"]
-        with pytest.warns(DeprecationWarning):
-            legacy = predict_iq(model, "tiny_cnn", sim_contrast_dataset)
-        assert np.array_equal(
-            legacy,
-            create_beamformer(
-                "tiny_cnn", model=model
-            ).beamform(sim_contrast_dataset),
+        # One bad sample used to yield an all-NaN DAS image and, worse,
+        # an all-finite learned image computed from a NaN-divided cube.
+        rf = sim_contrast_dataset.rf.copy()
+        rf[0, 0] = value
+        bad = replace(sim_contrast_dataset, rf=rf)
+        name, _ = parse_spec(spec)
+        beamformer = create_beamformer(
+            spec, model=untrained_models.get(name)
         )
-
-    def test_quantized_iq_warns_and_matches(
-        self, untrained_models, sim_contrast_dataset
-    ):
-        from repro.eval.experiments import quantized_iq
-
-        model = untrained_models["tiny_vbf"]
-        with pytest.warns(DeprecationWarning):
-            legacy = quantized_iq(model, sim_contrast_dataset, "hybrid-2")
-        assert np.array_equal(
-            legacy,
-            QuantizedBeamformer(
-                "hybrid-2", model=model
-            ).beamform(sim_contrast_dataset),
-        )
-
-    def test_beamformer_is_abstract(self):
-        with pytest.raises(TypeError):
-            Beamformer()
+        with pytest.raises(NonFiniteRfError, match="non-finite RF"):
+            beamformer.beamform(bad)
+        with pytest.raises(NonFiniteRfError):
+            beamformer.beamform_batch([sim_contrast_dataset, bad])
 
 
 class TestGeometryGroupedBatch:

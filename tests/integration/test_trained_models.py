@@ -10,11 +10,11 @@ benchmarks first.
 import numpy as np
 import pytest
 
+from repro.api import create_beamformer
 from repro.beamform import beamform_dataset
 from repro.beamform.envelope import envelope_detect
 from repro.metrics import dataset_contrast, dataset_resolution
 from repro.training.cache import trained_weights_path
-from repro.training.inference import predict_iq
 
 
 def _require_cached(kind):
@@ -26,6 +26,10 @@ def _require_cached(kind):
     from repro.training.cache import get_trained_model
 
     return get_trained_model(kind, "small", 0)
+
+
+def _envelope(spec, model, ds):
+    return envelope_detect(create_beamformer(spec, model=model).beamform(ds))
 
 
 @pytest.fixture(scope="module")
@@ -43,12 +47,8 @@ class TestTinyVbfTrained:
         self, tiny_vbf, tiny_cnn, sim_contrast_dataset
     ):
         ds = sim_contrast_dataset
-        vbf = dataset_contrast(
-            envelope_detect(predict_iq(tiny_vbf, "tiny_vbf", ds)), ds
-        )
-        cnn = dataset_contrast(
-            envelope_detect(predict_iq(tiny_cnn, "tiny_cnn", ds)), ds
-        )
+        vbf = dataset_contrast(_envelope("tiny_vbf", tiny_vbf, ds), ds)
+        cnn = dataset_contrast(_envelope("tiny_cnn", tiny_cnn, ds), ds)
         assert vbf.cr_db > cnn.cr_db
 
     def test_contrast_competitive_with_das(
@@ -58,9 +58,7 @@ class TestTinyVbfTrained:
         das = dataset_contrast(
             envelope_detect(beamform_dataset(ds, "das")), ds
         )
-        vbf = dataset_contrast(
-            envelope_detect(predict_iq(tiny_vbf, "tiny_vbf", ds)), ds
-        )
+        vbf = dataset_contrast(_envelope("tiny_vbf", tiny_vbf, ds), ds)
         assert vbf.cr_db > das.cr_db - 2.0
 
     def test_resolution_tracks_mvdr(self, tiny_vbf, sim_resolution_dataset):
@@ -68,9 +66,7 @@ class TestTinyVbfTrained:
         das = dataset_resolution(
             envelope_detect(beamform_dataset(ds, "das")), ds
         )
-        vbf = dataset_resolution(
-            envelope_detect(predict_iq(tiny_vbf, "tiny_vbf", ds)), ds
-        )
+        vbf = dataset_resolution(_envelope("tiny_vbf", tiny_vbf, ds), ds)
         # Known gap (EXPERIMENTS.md): lateral FWHM within 25 % of DAS
         # rather than below it at this aperture/training budget.
         assert vbf.lateral_m < das.lateral_m * 1.25
@@ -78,11 +74,13 @@ class TestTinyVbfTrained:
     def test_quantized_inference_stays_close_to_float(
         self, tiny_vbf, sim_contrast_dataset
     ):
-        from repro.eval.experiments import quantized_iq
-
         ds = sim_contrast_dataset
-        float_iq = quantized_iq(tiny_vbf, ds, "float")
-        hybrid_iq = quantized_iq(tiny_vbf, ds, "hybrid-1")
+        float_iq = create_beamformer(
+            "tiny_vbf@float", model=tiny_vbf
+        ).beamform(ds)
+        hybrid_iq = create_beamformer(
+            "tiny_vbf@hybrid-1", model=tiny_vbf
+        ).beamform(ds)
         scale = np.abs(float_iq).max()
         error = np.abs(hybrid_iq - float_iq).mean() / scale
         # Hybrid error is dominated by the 8-bit weights (~2.5 % of
@@ -95,7 +93,5 @@ class TestTinyVbfTrained:
         from repro.ultrasound import simulation_contrast
 
         ds = simulation_contrast(seed=999)
-        vbf = dataset_contrast(
-            envelope_detect(predict_iq(tiny_vbf, "tiny_vbf", ds)), ds
-        )
+        vbf = dataset_contrast(_envelope("tiny_vbf", tiny_vbf, ds), ds)
         assert vbf.cr_db > 6.0

@@ -1,5 +1,9 @@
 """Unit tests for quantization schemes and quantized execution."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from repro.quant import (
     quantized_forward,
     uniform_scheme,
 )
+from tests.golden.cases import golden_model, golden_model_input
 
 
 class TestSchemes:
@@ -140,3 +145,41 @@ class TestQuantizedForward:
 
         with pytest.raises(TypeError):
             quantized_forward(Mystery(), np.zeros((1, 2)), HYBRID1)
+
+
+class TestPeModeIsolation:
+    REPEATS = 20
+
+    def test_concurrent_modes_keep_their_own_outputs(self):
+        # The PE mode is an argument, not ambient state: a mode kept in
+        # a process-wide backend or a shared scope would leak into the
+        # other thread, and the per-level datapath's bytes differ from
+        # the modeled path's, so any leak shows.
+        model, x = golden_model(), golden_model_input()
+        scheme = SCHEMES["20 bits"]
+        runners = {
+            pe: QuantizedModel(model, scheme, pe=pe)
+            for pe in (None, "emu-per-level")
+        }
+        expected = {pe: run(x) for pe, run in runners.items()}
+        assert not np.array_equal(
+            expected[None], expected["emu-per-level"]
+        )
+        barrier = threading.Barrier(len(runners))
+
+        def matches(pe):
+            barrier.wait(timeout=60)
+            return sum(
+                np.array_equal(runners[pe](x), expected[pe])
+                for _ in range(self.REPEATS)
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            with ThreadPoolExecutor(max_workers=len(runners)) as pool:
+                counts = {pe: pool.submit(matches, pe) for pe in runners}
+                for pe, count in counts.items():
+                    assert count.result(timeout=120) == self.REPEATS, pe
+        finally:
+            sys.setswitchinterval(interval)

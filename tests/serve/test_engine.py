@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.api import Beamformer, create_beamformer
+from repro.api import Beamformer, NonFiniteRfError, create_beamformer
 from repro.models.registry import build_model
 from repro.serve import ReplaySource, ServeEngine
 from repro.ultrasound import stream_gain_drift
@@ -255,6 +255,16 @@ class TestFailure:
         )
         with pytest.raises(RuntimeError, match="boom"):
             engine.serve(ReplaySource(frames))
+
+    def test_non_finite_frame_fails_the_run(self, frames):
+        rf = frames[1].rf.copy()
+        rf[0, 0] = np.nan
+        poisoned = [frames[0], replace(frames[1], rf=rf), frames[2]]
+        engine = ServeEngine(
+            create_beamformer("das"), max_batch=2, log_every_s=0
+        )
+        with pytest.raises(NonFiniteRfError):
+            engine.serve(ReplaySource(poisoned))
 
     def test_batcher_error_propagates_without_hanging(self):
         # Objects without probe/grid/... blow up inside the batcher

@@ -7,6 +7,8 @@ the offline API and the threaded engine, frame conservation through
 shutdown, crash surfacing, and restart-with-requeue.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,16 @@ class TestCrashHandling:
                 engine.serve(ReplaySource(frames[:4]))
             with pytest.raises(RuntimeError, match="broken"):
                 engine.serve(ReplaySource(frames[:4]))
+
+    def test_non_finite_frame_fails_the_run(self, frames):
+        # The worker's error crosses the process boundary as a
+        # traceback; the typed error must name the cause.
+        rf = frames[1].rf.copy()
+        rf[0, 0] = np.nan
+        poisoned = [frames[0], replace(frames[1], rf=rf), frames[2]]
+        with sharded(create_beamformer("das")) as engine:
+            with pytest.raises(RuntimeError, match="NonFiniteRfError"):
+                engine.serve(ReplaySource(poisoned))
 
     def test_restart_requeues_inflight_and_completes(
         self, frames, tmp_path
