@@ -9,6 +9,9 @@ drop-in for the hot paths:
 * serve-vs-offline parity through the streaming engine,
 * quantized-execution contracts (float scheme is the identity, outputs
   live on the quantization grid, quantization error is bounded),
+* the emulated-PE datapath (``pe="emu"``) reproduces the modeled one
+  within each backend's tolerances, is batch-invariant and is served
+  like offline, under every backend,
 * DAS point-target focus (the physics smoke test: delays must actually
   delay),
 * cross-backend agreement with the ``numpy`` reference within each
@@ -208,6 +211,69 @@ class TestQuantContracts:
             f"20-bit quantization error {error:.3e} exceeds 5% of the "
             f"image scale {scale:.3e} on backend {backend_name!r}"
         )
+
+
+class TestEmulatedPeContracts:
+    """``pe="emu"`` runs the quantized GEMMs on the integer PE whatever
+    backend is ambient; the rest of the forward stays on the backend,
+    so these contracts hold per backend."""
+
+    @staticmethod
+    def _emulated(backend_name, tiny_learned, pe="emu"):
+        return QuantizedBeamformer(
+            "20 bits",
+            model=tiny_learned(backend_name).model,
+            backend=backend_name,
+            pe=pe,
+        )
+
+    def test_emu_matches_modeled_reference(
+        self, backend_name, tiny_world, tiny_learned
+    ):
+        """Within the backend's tolerances of the modeled path on the
+        reference backend — bitwise there, since it documents zeros."""
+        frame = tiny_world["frames"][0]
+        reference = self._emulated("numpy", tiny_learned, pe=None)
+        emulated = self._emulated(backend_name, tiny_learned)
+        _close(
+            get_backend(backend_name),
+            emulated.beamform(frame),
+            reference.beamform(frame),
+            "emulated-PE quantized forward",
+        )
+
+    def test_output_lies_on_quant_grid(
+        self, backend_name, tiny_world, tiny_learned
+    ):
+        frame = tiny_world["frames"][0]
+        image = self._emulated(backend_name, tiny_learned).beamform(frame)
+        fmt = SCHEMES["20 bits"].intermediate
+        stacked = np.stack([image.real, image.imag])
+        assert np.allclose(
+            fmt.quantize(stacked), stacked, rtol=0.0, atol=1e-9
+        )
+
+    def test_batch_invariance(self, backend_name, tiny_world, tiny_learned):
+        frames = tiny_world["frames"]
+        beamformer = self._emulated(backend_name, tiny_learned)
+        batched = beamformer.beamform_batch(frames)
+        for frame, image in zip(frames, batched):
+            assert np.array_equal(image, beamformer.beamform(frame))
+
+    def test_served_images_match_offline(
+        self, backend_name, tiny_world, tiny_learned
+    ):
+        frames = tiny_world["frames"]
+        beamformer = self._emulated(
+            backend_name, tiny_learned, pe="emu-per-level"
+        )
+        engine = ServeEngine(
+            beamformer, max_batch=2, n_workers=2, log_every_s=0
+        )
+        report = engine.serve(ReplaySource(frames))
+        assert report.completed == len(frames)
+        for frame, served in zip(frames, report.images):
+            assert np.array_equal(served, beamformer.beamform(frame))
 
 
 class TestPointTargetFocus:

@@ -70,6 +70,32 @@ class TestShardedParity:
             np.testing.assert_array_equal(reference, via_threads)
             np.testing.assert_array_equal(reference, via_shards)
 
+    def test_per_level_pe_sharded_threaded_offline_bitwise_parity(
+        self, frames
+    ):
+        # The PE rounding mode is an argument held by the beamformer,
+        # so it must reach spawned workers with the pickled beamformer.
+        # Per-level rounding differs from the modeled path, so a worker
+        # that dropped the mode would show.
+        beamformer = create_beamformer(
+            "tiny_vbf@16 bits",
+            model=build_model("tiny_vbf", "small", seed=0),
+            pe="emu-per-level",
+        )
+        subset = frames[:2]
+        offline = [beamformer.beamform(frame) for frame in subset]
+        threaded = ServeEngine(
+            beamformer, n_workers=2, log_every_s=0.0
+        ).serve(ReplaySource(subset))
+        with sharded(beamformer) as engine:
+            report = engine.serve(ReplaySource(subset))
+        assert report.completed == len(subset)
+        for reference, via_threads, via_shards in zip(
+            offline, threaded.images, report.images
+        ):
+            np.testing.assert_array_equal(reference, via_threads)
+            np.testing.assert_array_equal(reference, via_shards)
+
     def test_pickle_transport_matches_shm(self, frames):
         beamformer = create_beamformer("das")
         offline = [beamformer.beamform(frame) for frame in frames]
